@@ -1,20 +1,22 @@
-"""Re-randomization latency: precomputed relocation index vs streaming patcher.
+"""Re-randomization latency: ``patch_image`` vs the streaming reference.
 
 Every attack detection triggers a full re-randomization (paper §V-C), so
-the patch pass sits on the recovery-latency critical path.  The legacy
-patcher re-decodes the whole instruction stream on every shuffle; the
-indexed fast path replays a precomputed patch-site list and touches only
-the words that actually need new targets.  This bench prices both on the
-largest paper application (ArduPlane, 917 functions) and verifies the
-fast path is byte-identical to the legacy one for every measured seed.
+the patch pass sits on the recovery-latency critical path.  The
+reference patcher re-decodes the whole instruction stream on every
+shuffle; ``patch_image`` replays the memoized relocation index and
+touches only the words that actually need new targets.  This bench
+prices both on the largest paper application (ArduPlane, 917 functions)
+and verifies ``patch_image`` is byte-identical to the reference for
+every measured seed.
 
 It also prices the second half of the fast path — differential page
 reflash — by programming an ATmega2560-sized flash twice and recording
 how many pages (and wire bytes) the page-digest diff avoids retransferring.
 
-Results land in ``BENCH_rerandomize.json`` at the repo root.  The indexed
-patcher must stay at least 3x faster than the streaming patcher — that
-floor is asserted here, not just documented (measured: ~80x).
+Results land in ``BENCH_rerandomize.json`` at the repo root.
+``patch_image`` must stay at least 3x faster than the streaming
+reference — that floor is asserted here, not just documented (measured:
+~80x).
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_rerandomize_latency.py -q -s
 Scale the seed count with REPRO_BENCH_RERANDOMIZE_SEEDS (default 3).
@@ -26,8 +28,8 @@ import random
 import time
 from pathlib import Path
 
-from repro.binfmt import build_relocation_index
-from repro.core.patching import patch_image, patch_image_indexed
+from repro.binfmt import build_relocation_index, relocation_index
+from repro.core.patching import patch_image, reference_patch_image
 from repro.core.randomize import generate_permutation
 from repro.hw.isp import IspProgrammer
 from repro.avr.memory import FlashMemory
@@ -47,31 +49,32 @@ def _median(values):
 
 
 def test_rerandomize_latency(benchmark, arduplane):
-    # one-time host-side cost: the full-stream decode that builds the index
+    # one-time cost per code image: the full-stream decode behind the index
     start = time.perf_counter()
     index = build_relocation_index(arduplane)
     index_build_ms = (time.perf_counter() - start) * 1e3
+    relocation_index(arduplane)  # warm the memo patch_image reads
 
-    legacy_ms, indexed_ms = [], []
+    reference_ms, patch_ms = [], []
     for seed in _seeds():
         permutation = generate_permutation(arduplane, random.Random(seed))
 
         start = time.perf_counter()
-        legacy = patch_image(arduplane, permutation)
-        legacy_ms.append((time.perf_counter() - start) * 1e3)
+        reference = reference_patch_image(arduplane, permutation)
+        reference_ms.append((time.perf_counter() - start) * 1e3)
 
         start = time.perf_counter()
-        fast = patch_image_indexed(arduplane, permutation, index)
-        indexed_ms.append((time.perf_counter() - start) * 1e3)
+        fast = patch_image(arduplane, permutation)
+        patch_ms.append((time.perf_counter() - start) * 1e3)
 
-        assert fast == legacy, f"fast path diverged from legacy at seed {seed}"
+        assert fast == reference, f"patch_image diverged from reference at seed {seed}"
 
-    speedup = _median(legacy_ms) / _median(indexed_ms)
+    speedup = _median(reference_ms) / _median(patch_ms)
 
-    # pytest-benchmark row: the indexed patcher at paper scale
+    # pytest-benchmark row: the patcher at paper scale
     permutation = generate_permutation(arduplane, random.Random(0))
     benchmark.pedantic(
-        lambda: patch_image_indexed(arduplane, permutation, index),
+        lambda: patch_image(arduplane, permutation),
         rounds=3, iterations=1,
     )
 
@@ -82,7 +85,7 @@ def test_rerandomize_latency(benchmark, arduplane):
     isp.program(flash, arduplane.code)
     full_wire = isp.stats.last_bytes_on_wire
     full_prog_ms = isp.stats.last_programming_ms
-    isp.program(flash, patch_image_indexed(arduplane, permutation, index))
+    isp.program(flash, patch_image(arduplane, permutation))
     stats = isp.stats
     assert stats.differential_passes == 1
     assert stats.last_bytes_on_wire < full_wire
@@ -94,12 +97,11 @@ def test_rerandomize_latency(benchmark, arduplane):
         "seeds": _seeds(),
         "index": {
             "sites": index.site_count,
-            "bytes": index.byte_length(),
             "build_ms": round(index_build_ms, 2),
         },
         "patch_ms": {
-            "legacy": round(_median(legacy_ms), 2),
-            "indexed": round(_median(indexed_ms), 2),
+            "reference": round(_median(reference_ms), 2),
+            "patch_image": round(_median(patch_ms), 2),
         },
         "speedup": round(speedup, 1),
         "reflash": {
@@ -117,10 +119,10 @@ def test_rerandomize_latency(benchmark, arduplane):
 
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
     print(
-        f"\n{arduplane.name}: legacy {results['patch_ms']['legacy']} ms, "
-        f"indexed {results['patch_ms']['indexed']} ms "
-        f"({results['speedup']}x); index {index.site_count} sites / "
-        f"{index.byte_length()} bytes, built in {results['index']['build_ms']} ms"
+        f"\n{arduplane.name}: reference {results['patch_ms']['reference']} ms, "
+        f"patch_image {results['patch_ms']['patch_image']} ms "
+        f"({results['speedup']}x); index {index.site_count} sites, "
+        f"built in {results['index']['build_ms']} ms"
     )
     print(
         f"reflash: {stats.last_pages_written} pages rewritten, "
@@ -130,6 +132,6 @@ def test_rerandomize_latency(benchmark, arduplane):
     print(f"results written to {RESULTS_PATH}")
 
     assert speedup >= SPEEDUP_FLOOR, (
-        f"indexed patcher is only {speedup:.2f}x faster than the streaming "
-        f"patcher; the floor is {SPEEDUP_FLOOR}x"
+        f"patch_image is only {speedup:.2f}x faster than the streaming "
+        f"reference; the floor is {SPEEDUP_FLOOR}x"
     )

@@ -1,6 +1,5 @@
 """Binary container formats: Intel HEX, symbol tables, firmware images."""
 
-from .elfmini import MiniElf, Section
 from .funcptr import PointerCandidate, scan_function_pointers, scan_precision_recall
 from .ihex import (
     SYMBOL_WINDOW_BASE,
@@ -10,15 +9,19 @@ from .ihex import (
     encode_with_symbols,
 )
 from .image import FirmwareImage
-from .relocindex import PatchSite, RelocationIndex, build_relocation_index
+from .relocindex import (
+    PatchSite,
+    RelocationIndex,
+    build_relocation_index,
+    relocation_index,
+)
 from .symtab import Symbol, SymbolKind, SymbolTable
 
 __all__ = [
     "PatchSite",
     "RelocationIndex",
     "build_relocation_index",
-    "MiniElf",
-    "Section",
+    "relocation_index",
     "PointerCandidate",
     "scan_function_pointers",
     "scan_precision_recall",

@@ -18,7 +18,7 @@ Layout in flash (byte addresses)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import BinfmtError
 from .ihex import decode_with_symbols, encode_with_symbols
@@ -41,10 +41,6 @@ class FirmwareImage:
     funcptr_locations: List[int] = field(default_factory=list)
     name: str = "firmware"
     toolchain_tag: str = "stock"
-    # precomputed patch-site map for the re-randomization fast path
-    # (a binfmt.relocindex.RelocationIndex, valid only for these exact
-    # code bytes — never carried across a code transformation)
-    reloc_index: Optional[object] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.text_start <= self.text_end <= len(self.code)):
@@ -104,39 +100,26 @@ class FirmwareImage:
 
     def with_code(self, code: bytes, symbols: Optional[SymbolTable] = None,
                   toolchain_tag: Optional[str] = None) -> "FirmwareImage":
-        """Copy of this image with replaced code (and optionally symbols).
-
-        The relocation index is dropped: it maps patch sites of the old
-        bytes and would silently mis-patch if applied to the new ones.
-        """
+        """Copy of this image with replaced code (and optionally symbols)."""
         return replace(
             self,
             code=code,
             symbols=symbols if symbols is not None else self.symbols,
             toolchain_tag=toolchain_tag if toolchain_tag is not None else self.toolchain_tag,
-            reloc_index=None,
         )
 
     # -- serialization ----------------------------------------------------
 
-    def to_preprocessed_hex(self, include_index: bool = True) -> str:
-        """Serialize to the MAVR preprocessed HEX (symbols prepended).
-
-        When a relocation index is attached it rides along after the
-        symbol table, so the master never has to re-derive it;
-        ``include_index=False`` reproduces the pre-index format.
-        """
-        blob = _metadata_blob(self)
-        if include_index and self.reloc_index is not None:
-            blob += self.reloc_index.to_bytes()
-        return encode_with_symbols(self.code, blob)
+    def to_preprocessed_hex(self) -> str:
+        """Serialize to the MAVR preprocessed HEX (symbols prepended)."""
+        return encode_with_symbols(self.code, _metadata_blob(self))
 
     @classmethod
     def from_preprocessed_hex(cls, text: str) -> "FirmwareImage":
         code, blob = decode_with_symbols(text)
         return _image_from_blob(code, blob)
 
-    def to_flash_blob(self, include_index: bool = True) -> bytes:
+    def to_flash_blob(self) -> bytes:
         """Compact binary container for the external flash chip.
 
         The paper's preprocessor prepends only what the master needs to
@@ -171,8 +154,6 @@ class FirmwareImage:
         for symbol in functions:
             body += struct.pack("<I", symbol.address)
         body += self.code
-        if include_index and self.reloc_index is not None:
-            body += self.reloc_index.to_bytes()
         return bytes(body)
 
     @classmethod
@@ -209,13 +190,17 @@ class FirmwareImage:
             raise BinfmtError("flash container truncated (code)")
         code = bytes(data[offset : offset + code_len])
         offset += code_len
+        if offset != len(data):
+            raise BinfmtError(
+                f"flash container has {len(data) - offset} trailing bytes"
+            )
         table = SymbolTable()
         ordered = sorted(starts)
         entry_name = "fn_0000"
         for index, start in enumerate(ordered):
             end = ordered[index + 1] if index + 1 < len(ordered) else text_end
             table.add(Symbol(f"fn_{index:04d}", start, end - start, SymbolKind.FUNC))
-        image = cls(
+        return cls(
             code=code,
             symbols=table,
             text_start=text_start,
@@ -227,8 +212,6 @@ class FirmwareImage:
             name="from-flash",
             toolchain_tag=tag,
         )
-        image.reloc_index = _parse_trailing_index(data[offset:], image)
-        return image
 
 
 _META_MAGIC = b"MVRI"
@@ -281,11 +264,9 @@ def _image_from_blob(code: bytes, blob: bytes) -> FirmwareImage:
         (location,) = struct.unpack_from("<I", blob, offset)
         locations.append(location)
         offset += 4
-    symbols, consumed = SymbolTable.from_bytes_with_size(blob[offset:])
-    offset += consumed
-    image = FirmwareImage(
+    return FirmwareImage(
         code=code,
-        symbols=symbols,
+        symbols=SymbolTable.from_bytes(blob[offset:]),
         text_start=text_start,
         text_end=text_end,
         data_start=data_start,
@@ -295,19 +276,3 @@ def _image_from_blob(code: bytes, blob: bytes) -> FirmwareImage:
         name=name,
         toolchain_tag=toolchain_tag,
     )
-    image.reloc_index = _parse_trailing_index(blob[offset:], image)
-    return image
-
-
-def _parse_trailing_index(tail: bytes, image: FirmwareImage):
-    """Parse an optional relocation-index section appended to a container.
-
-    Containers written before the index existed simply end where the
-    mandatory sections do, so an empty (or unrecognized) tail means "no
-    index" — the legacy streaming patcher remains the fallback.
-    """
-    from .relocindex import INDEX_MAGIC, RelocationIndex
-
-    if len(tail) < 4 or tail[:4] != INDEX_MAGIC:
-        return None
-    return RelocationIndex.from_bytes(tail, image)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..errors import BinfmtError
 
@@ -146,16 +146,7 @@ class SymbolTable:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SymbolTable":
-        table, _consumed = cls.from_bytes_with_size(blob)
-        return table
-
-    @classmethod
-    def from_bytes_with_size(cls, blob: bytes) -> Tuple["SymbolTable", int]:
-        """Parse a table and report how many bytes it occupied.
-
-        The consumed length lets containers append further sections (the
-        relocation index) after the symbol blob.
-        """
+        """Parse a table that fills ``blob`` exactly."""
         if len(blob) < _HEADER.size:
             raise BinfmtError("symbol blob truncated (header)")
         magic, count = _HEADER.unpack_from(blob, 0)
@@ -178,7 +169,11 @@ class SymbolTable:
             name = blob[offset : offset + name_len].decode("utf-8")
             offset += name_len
             table.add(Symbol(name, address, size, _kind_from_code(kind_code)))
-        return table, offset
+        if offset != len(blob):
+            raise BinfmtError(
+                f"symbol blob has {len(blob) - offset} trailing bytes"
+            )
+        return table
 
     def validate_tiling(self, text_start: int, text_end: int) -> None:
         """Check function blocks tile [text_start, text_end) without overlap.

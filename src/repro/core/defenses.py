@@ -6,7 +6,7 @@ boot diversifies it, and what recovery after a detection costs.
 :class:`DefenseBackend` captures exactly that variation:
 
 * ``mavr`` — the paper's function-block randomization, byte-identical to
-  the pre-backend pipeline: same RNG stream, same indexed fast path,
+  the pre-backend pipeline: same RNG stream, same patcher,
   same policy schedule, recovery = re-randomize + differential reflash.
 * ``daedalus`` — DAEDALUS-style stochastic software diversity at
   sub-block granularity with load-time re-diversification: *every* boot
@@ -14,7 +14,7 @@ boot diversifies it, and what recovery after a detection costs.
   section the sub-blocks scatter with stochastic gaps (the §VIII-B
   padding machinery); when ``.text`` already fills the chip — every
   paper app — it falls back to the in-place sub-block shuffle through
-  the same relocation-index fast path MAVR uses.
+  the same patcher MAVR uses.
 * ``ctomp`` — CToMP-style cycle-task memory protection: no layout
   secrecy at all.  The master checkpoints the task context (data space,
   PC, SREG) at every healthy watch pass and, on a detection, restores
@@ -82,9 +82,6 @@ class DefenseBackend:
     #: True: a detection is handled by re-diversify + reflash (the boot
     #: path); False: the master calls :meth:`recover` instead
     reflashes_on_detection = True
-    #: True: deployment requires a randomizable build (--no-relax etc.)
-    #: and a relocation index is worth building for re-randomization
-    requires_randomizable = True
 
     def __init__(self) -> None:
         self.stats = DefenseStats()
@@ -165,11 +162,11 @@ class DaedalusBackend(DefenseBackend):
     """Sub-block stochastic diversity with load-time re-diversification.
 
     Granularity comes from :mod:`repro.core.splitting` (functions cut at
-    every safe point, the relocation index carried over).  Placement is
-    adaptive: scatter with stochastic gaps over the free flash when the
-    image leaves room (``testapp``); in-place sub-block shuffle through
-    the indexed fast path when ``.text`` fills the chip (every paper
-    app — the same headroom limit that made §VIII-B drop padding).
+    every safe point; the split shares the function tiling's relocation
+    index).  Placement is adaptive: scatter with stochastic gaps over the
+    free flash when the image leaves room (``testapp``); in-place
+    sub-block shuffle when ``.text`` fills the chip (every paper app —
+    the same headroom limit that made §VIII-B drop padding).
     """
 
     name = "daedalus"
@@ -235,7 +232,6 @@ class CtompBackend(DefenseBackend):
 
     name = "ctomp"
     reflashes_on_detection = False
-    requires_randomizable = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -246,7 +242,7 @@ class CtompBackend(DefenseBackend):
         # no layout transformation ahead: any structurally valid build
         # deploys, including stock toolchain images MAVR must reject
         image.validate()
-        return image.to_preprocessed_hex(include_index=False)
+        return image.to_preprocessed_hex()
 
     def check_deployable(self, image: FirmwareImage) -> None:
         pass  # no toolchain constraint: the image is never randomized

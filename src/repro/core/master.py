@@ -16,7 +16,6 @@ import random
 from typing import List, Optional
 
 from ..binfmt.image import FirmwareImage
-from ..binfmt.relocindex import build_relocation_index
 from ..errors import DefenseError
 from ..hw.clock import SimClock
 from ..hw.flashchip import ExternalFlash
@@ -182,14 +181,7 @@ class MasterProcessor:
         squeeze into a chip sized like the application processor's flash.
         """
         image = FirmwareImage.from_preprocessed_hex(preprocessed_hex)
-        blob = image.to_flash_blob()
-        if not self.external_flash.fits(len(blob)):
-            # the chip is sized like the application flash; when a huge
-            # image leaves no room for the relocation index, ship without
-            # it — the master rebuilds the index in RAM at first boot
-            blob = image.to_flash_blob(include_index=False)
-        self.external_flash.store(blob)
-        self._original = None  # reparse on next boot
+        self.deploy_blob(image.to_flash_blob())
 
     def deploy_blob(self, blob: bytes) -> None:
         """Store a ready-made external-flash blob (the artifact fast path).
@@ -198,8 +190,10 @@ class MasterProcessor:
         stored for the same preprocessed HEX — it was captured off a
         cold deployment and content-addressed by the artifact cache —
         so the decode/encode round-trip is skipped without changing a
-        single byte on the chip.
+        single byte on the chip.  A new application replaces the old one
+        outright: the chip is erased first.
         """
+        self.external_flash.erase()
         self.external_flash.store(blob)
         self._original = None  # reparse on next boot
 
@@ -210,10 +204,6 @@ class MasterProcessor:
                 raise DefenseError("no application deployed on the external flash")
             image = FirmwareImage.from_flash_blob(blob)
             self.backend.check_deployable(image)
-            if image.reloc_index is None and self.backend.requires_randomizable:
-                # legacy deployment (or an index squeezed off the chip):
-                # pay the full-stream decode once per deployment, in RAM
-                image.reloc_index = build_relocation_index(image)
             self._original = image
         return self._original
 
@@ -222,8 +212,8 @@ class MasterProcessor:
     def boot(self, attack_detected: bool = False) -> float:
         """Power the system up (or recover it); returns startup overhead ms.
 
-        The randomize step uses the relocation-index fast path (the index
-        rode in on the external-flash blob), and the ISP transfer is
+        The randomize step replays the image's memoized relocation index
+        (no instruction decoding), and the ISP transfer is
         differential: only pages the shuffle actually changed cross the
         wire, so a re-randomization costs a fraction of the Table II full
         transfer.

@@ -27,7 +27,7 @@ from .watchdog import WatchdogConfig
 
 #: format of :meth:`MavrSystem.capture_snapshot` payloads; bump on any
 #: change to the captured fields or their meaning
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass

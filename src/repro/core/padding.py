@@ -27,7 +27,7 @@ from ..avr.memory import FLASH_SIZE
 from ..binfmt.image import FirmwareImage
 from ..binfmt.symtab import Symbol, SymbolKind, SymbolTable
 from ..errors import DefenseError
-from .patching import patch_image
+from .patching import patch_into
 from .randomize import BlockMove, Permutation, moves_to_permutation
 
 
@@ -94,10 +94,11 @@ def randomize_image_padded(
 
     # grow the image: original content, erased fill above
     keep = max(image.data_end, image.text_end)
-    grown = bytearray(image.code[:keep])
-    grown += bytes([fill & 0xFF]) * (new_end - len(grown))
-    base = image.with_code(bytes(grown))
-    patched = bytearray(patch_image(base, permutation))
+    patched = bytearray(image.code[:keep])
+    patched += bytes([fill & 0xFF]) * (new_end - len(patched))
+    # the original image's index applies as is: the grown buffer keeps
+    # the original bytes below ``keep``
+    patch_into(image, permutation, patched)
     # blank the old .text (it must not retain the original gadget bytes);
     # every block now lives above data_end, so this erases only leftovers
     for offset in range(image.text_start, image.text_end):

@@ -14,9 +14,12 @@ layout must be fixed:
 * function pointers in the data section (vtables, call-routing tables) —
   their stored word addresses are rewritten in place.
 
-The pass streams the binary a block at a time, mirroring the master
-processor's "a few bytes at a time" random-access read of the external
-flash.
+The pass replays the image's relocation index (built once per code
+image by :func:`repro.binfmt.relocindex.relocation_index`), so a shuffle
+touches only the words that need new targets.
+:func:`reference_patch_image` is the streaming re-decode the index
+replaced; it has no production caller and stays as the differential
+oracle the tests compare :func:`patch_image` against.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from ..avr.decoder import decode_at
 from ..avr.encoder import encode_bytes
 from ..avr.insn import Instruction, Mnemonic
 from ..binfmt.image import FirmwareImage
-from ..binfmt.relocindex import RelocationIndex
+from ..binfmt.relocindex import relocation_index
 from ..errors import DecodeError, PatchError
 from .randomize import Permutation, generate_permutation, shuffled_symbol_table
 
@@ -40,23 +43,11 @@ _ABSOLUTE = {M.CALL, M.JMP}
 
 
 def randomize_image(
-    image: FirmwareImage,
-    rng: Optional[random.Random] = None,
-    use_index: bool = True,
+    image: FirmwareImage, rng: Optional[random.Random] = None
 ) -> Tuple[FirmwareImage, Permutation]:
-    """Shuffle + patch: the master processor's whole software job.
-
-    When the image carries a valid relocation index (built once by the
-    preprocessor) the patch step is the decode-free indexed fixup;
-    otherwise it falls back to the legacy streaming patcher.  Both paths
-    produce byte-identical output for the same permutation.
-    """
+    """Shuffle + patch: the master processor's whole software job."""
     permutation = generate_permutation(image, rng)
-    index = image.reloc_index if use_index else None
-    if index is not None and index.matches(image):
-        new_code = patch_image_indexed(image, permutation, index)
-    else:
-        new_code = patch_image(image, permutation)
+    new_code = patch_image(image, permutation)
     new_symbols = shuffled_symbol_table(image, permutation)
     randomized = image.with_code(
         new_code, symbols=new_symbols, toolchain_tag=image.toolchain_tag
@@ -68,50 +59,22 @@ def randomize_image(
 def patch_image(image: FirmwareImage, permutation: Permutation) -> bytes:
     """Produce the randomized code bytes for ``permutation``."""
     new_code = bytearray(image.code)
-
-    # move every block to its new home
-    for move in permutation.moves:
-        block = image.code[move.old_address : move.old_address + move.size]
-        new_code[move.new_address : move.new_address + move.size] = block
-
-    # patch the fixed region (vectors + __init) in place; when the flash
-    # data section sits below .text, stop the sweep before it — data bytes
-    # are not instructions
-    fixed_end = min(image.text_start, image.data_start)
-    _patch_segment(image, permutation, new_code, 0, 0, fixed_end)
-    # patch every moved block at its new location
-    for move in permutation.moves:
-        _patch_segment(
-            image, permutation, new_code,
-            move.old_address, move.new_address, move.size,
-        )
-
-    _patch_funcptrs(image, permutation, new_code)
+    patch_into(image, permutation, new_code)
     return bytes(new_code)
 
 
-def patch_image_indexed(
-    image: FirmwareImage,
-    permutation: Permutation,
-    index: Optional[RelocationIndex] = None,
-) -> bytes:
-    """Decode-free fixup pass: O(moves + patch-sites) instead of a full
-    instruction-stream decode.
+def patch_into(
+    image: FirmwareImage, permutation: Permutation, new_code: bytearray
+) -> None:
+    """Move ``image``'s blocks into ``new_code`` and retarget every site.
 
-    The index was built from ``image``'s exact bytes (the preprocessor's
-    one-time sweep); applying it is block copies plus direct operand
-    rewrites at the recorded sites.  Output is byte-identical to
-    :func:`patch_image` for the same permutation — the differential test
-    suite pins this down across seeds and manifests.
+    ``new_code`` starts as a copy of ``image.code``, possibly grown (the
+    padded scatter places blocks above the original image end).  The
+    work is block copies plus direct operand rewrites at the sites of
+    ``image``'s relocation index: O(moves + patch-sites), no instruction
+    decoding.
     """
-    index = index if index is not None else image.reloc_index
-    if index is None:
-        raise PatchError("image carries no relocation index")
-    if not index.matches(image):
-        raise PatchError(
-            "relocation index is stale (code bytes or text bounds changed)"
-        )
-    new_code = bytearray(image.code)
+    index = relocation_index(image)
     for move in permutation.moves:
         block = image.code[move.old_address : move.old_address + move.size]
         new_code[move.new_address : move.new_address + move.size] = block
@@ -164,7 +127,6 @@ def patch_image_indexed(
         new_code[new_offset : new_offset + 2] = encode_bytes(patched)
 
     _patch_funcptrs(image, permutation, new_code)
-    return bytes(new_code)
 
 
 def _patch_funcptrs(
@@ -174,8 +136,8 @@ def _patch_funcptrs(
 
     Slots that point into the fixed region (trampoline stubs) stay as
     they are — the stubs' jmps were already retargeted by the fixed-region
-    sweep.  Shared by the streaming and indexed patchers so their pointer
-    handling cannot drift apart.
+    sweep.  Shared with the reference patcher so their pointer handling
+    cannot drift apart.
     """
     fixed_limit = min(image.text_start, image.data_start)
     for location in image.funcptr_locations:
@@ -197,6 +159,38 @@ def _patch_funcptrs(
             )
         new_code[location] = new_word & 0xFF
         new_code[location + 1] = (new_word >> 8) & 0xFF
+
+
+# -- reference oracle -----------------------------------------------------
+
+
+def reference_patch_image(image: FirmwareImage, permutation: Permutation) -> bytes:
+    """The streaming patcher: re-decode every segment on every shuffle.
+
+    Differential oracle only — :func:`patch_image` must produce the same
+    bytes for every image and permutation.
+    """
+    new_code = bytearray(image.code)
+
+    # move every block to its new home
+    for move in permutation.moves:
+        block = image.code[move.old_address : move.old_address + move.size]
+        new_code[move.new_address : move.new_address + move.size] = block
+
+    # patch the fixed region (vectors + __init) in place; when the flash
+    # data section sits below .text, stop the sweep before it — data bytes
+    # are not instructions
+    fixed_end = min(image.text_start, image.data_start)
+    _patch_segment(image, permutation, new_code, 0, 0, fixed_end)
+    # patch every moved block at its new location
+    for move in permutation.moves:
+        _patch_segment(
+            image, permutation, new_code,
+            move.old_address, move.new_address, move.size,
+        )
+
+    _patch_funcptrs(image, permutation, new_code)
+    return bytes(new_code)
 
 
 def _patch_segment(

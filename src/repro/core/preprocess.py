@@ -14,7 +14,7 @@ from typing import List
 
 from ..binfmt.funcptr import scan_function_pointers
 from ..binfmt.image import FirmwareImage
-from ..binfmt.relocindex import build_relocation_index
+from ..binfmt.relocindex import relocation_index
 from ..errors import DefenseError
 
 
@@ -26,8 +26,7 @@ class PreprocessReport:
     funcptr_slots: int
     text_bytes: int
     hex_bytes: int
-    index_sites: int = 0
-    index_bytes: int = 0
+    index_sites: int
 
 
 def check_randomizable(image: FirmwareImage) -> None:
@@ -50,36 +49,30 @@ def check_randomizable(image: FirmwareImage) -> None:
         )
 
 
-def preprocess(
-    image: FirmwareImage, verify_pointers: bool = True, build_index: bool = True
-) -> str:
+def preprocess(image: FirmwareImage, verify_pointers: bool = True) -> str:
     """Produce the preprocessed HEX text for the external flash.
 
-    This is where the expensive full-stream decode happens — exactly
-    once, on the host.  The resulting relocation index ships inside the
-    HEX so every later re-randomization on the master is a decode-free
-    fixup pass.  ``build_index=False`` reproduces the legacy format
-    (masters fall back to the streaming patcher).
+    This is where the expensive full-stream decode happens, on the host:
+    the image's relocation index is built here (and memoized for every
+    later re-randomization of the same code), so a build with a
+    cross-block conditional branch is rejected before it ships.
     """
     check_randomizable(image)
     image.validate()
     if verify_pointers:
         _verify_pointer_coverage(image)
-    if build_index and image.reloc_index is None:
-        image.reloc_index = build_relocation_index(image)
-    return image.to_preprocessed_hex(include_index=build_index)
+    relocation_index(image)
+    return image.to_preprocessed_hex()
 
 
 def preprocess_report(image: FirmwareImage) -> PreprocessReport:
     hex_text = preprocess(image)
-    index = image.reloc_index
     return PreprocessReport(
         function_count=image.function_count(),
         funcptr_slots=len(image.funcptr_locations),
         text_bytes=image.text_end - image.text_start,
         hex_bytes=len(hex_text),
-        index_sites=index.site_count if index is not None else 0,
-        index_bytes=index.byte_length() if index is not None else 0,
+        index_sites=relocation_index(image).site_count,
     )
 
 

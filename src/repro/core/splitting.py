@@ -15,13 +15,13 @@ a cut is only sound when no control transfer silently crosses it —
   when source and target move together, and conditional branches cannot
   be retargeted at all (7-bit range).
 
-Cuts found under these rules keep every relative transfer inside its
-sub-block, so the relocation index built at function granularity remains
-valid: the code bytes are untouched (``RelocationIndex.matches`` keys on
-the byte CRC), recorded cross-function sites are remapped through the
-finer permutation exactly as before, and nothing new needs recording.
-That is what lets the DAEDALUS backend re-diversify at sub-block
-granularity through the same decode-free indexed fast path MAVR uses.
+Cuts found under these rules keep every in-function relative transfer
+inside its sub-block, so the sub-block tiling has exactly the patch
+sites of the function tiling: the code bytes are untouched (the
+relocation-index memo keys on them), recorded cross-function sites are
+remapped through the finer permutation, and nothing new needs
+recording.  That is what lets the DAEDALUS backend re-diversify at
+sub-block granularity through the same patcher MAVR uses.
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ def split_symbol_table(image: FirmwareImage) -> SymbolTable:
 def split_image_blocks(image: FirmwareImage) -> FirmwareImage:
     """Copy of ``image`` re-tiled at sub-block granularity.
 
-    The code bytes are identical, so the relocation index carries over
-    (unlike :meth:`FirmwareImage.with_code`, which must drop it) and the
-    indexed patcher's fast path stays available for every later shuffle.
+    The code bytes are identical, so the split shares the original's
+    memoized relocation index for every later shuffle.
     """
     split = replace(image, symbols=split_symbol_table(image))
     split.validate()

@@ -57,16 +57,6 @@ class ExternalFlash:
     def stored_length(self) -> int:
         return self._stored_length
 
-    def fits(self, n_bytes: int, offset: int = 0) -> bool:
-        """Would a ``store`` of ``n_bytes`` at ``offset`` succeed?
-
-        The chip is deliberately sized like the application processor's
-        flash, so big applications sit "perilously close" to its limit —
-        callers with optional payload (the relocation index) check before
-        storing instead of letting the upload fail.
-        """
-        return offset >= 0 and offset + n_bytes <= self.size
-
     def erase(self) -> None:
         self._data = bytearray(b"\xff" * self.size)
         self._stored_length = 0

@@ -50,7 +50,7 @@ from typing import Dict, Optional, Union
 #: bump when any cached artifact's format or producing code changes in a
 #: way that invalidates old entries (keys embed this, so stale files are
 #: simply never addressed again)
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: per-process memo entries kept per cache root (an LRU over disk hits)
 MEMO_LIMIT = 64
@@ -153,9 +153,7 @@ class ArtifactCache:
 
         The memo returns the *same object* to every caller in a process,
         mirroring how the in-process build cache already shares images;
-        cached objects are treated as immutable by convention (the one
-        sanctioned exception — lazily attaching a relocation index —
-        is deterministic in content).
+        cached objects are treated as immutable by convention.
         """
         memo = self._memo
         if key in memo:

@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry import Telemetry, jsonable
 from .artifacts import get_cache
@@ -298,18 +298,21 @@ class CampaignRunner:
 
     def _load_checkpoints(
         self, specs: Sequence[ScenarioSpec]
-    ) -> Dict[int, ScenarioResult]:
+    ) -> Tuple[Dict[int, ScenarioResult], int]:
         """Replay completed specs from the shard files.
 
-        Lines that fail to parse (the torn tail of an interrupted append),
-        carry an out-of-range index, or whose spec digest does not match
-        the current spec list are skipped — those specs simply re-run.
+        Returns the replayed results and the number of skipped lines.
+        Lines that fail to parse (the torn tail of an interrupted append,
+        foreign bytes), have the wrong shape, carry an out-of-range index,
+        or whose spec digest does not match the current spec list are
+        skipped — those specs simply re-run.
         """
         completed: Dict[int, ScenarioResult] = {}
+        skipped = 0
         for path in self._shard_paths():
             if not path.exists():
                 continue
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8", errors="replace") as handle:
                 for line in handle:
                     line = line.strip()
                     if not line:
@@ -317,26 +320,31 @@ class CampaignRunner:
                     try:
                         entry = json.loads(line)
                         index = entry["index"]
-                        if not 0 <= index < len(specs):
+                        if (
+                            0 <= index < len(specs)
+                            and entry["spec"] == spec_digest(specs[index])
+                        ):
+                            completed[index] = _result_from_checkpoint(
+                                index, specs[index], entry
+                            )
                             continue
-                        if entry["spec"] != spec_digest(specs[index]):
-                            continue
-                        completed[index] = _result_from_checkpoint(
-                            index, specs[index], entry
-                        )
-                    except Exception:
-                        continue
-        return completed
+                    # JSONDecodeError is a ValueError; the rest are a
+                    # parsed line of the wrong shape
+                    except (ValueError, KeyError, TypeError, AttributeError):
+                        pass
+                    skipped += 1
+        return completed, skipped
 
     def run(self, specs: Sequence[ScenarioSpec]) -> CampaignReport:
         specs = list(specs)
         started = time.perf_counter()
         completed: Dict[int, ScenarioResult] = {}
+        skipped = 0
         checkpointing = self.checkpoint_dir is not None
         if checkpointing:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
             if self.resume:
-                completed = self._load_checkpoints(specs)
+                completed, skipped = self._load_checkpoints(specs)
             else:
                 for path in self._shard_paths():
                     if path.exists():
@@ -413,6 +421,7 @@ class CampaignRunner:
                 "worker_deaths": worker_deaths,
                 "timeout_s": self.timeout_s,
                 "resumed": len(completed),
+                "checkpoint_skipped": skipped,
                 "cache_dir": self.cache_dir,
                 "shards": self.shards if checkpointing else None,
             },

@@ -398,40 +398,17 @@ class Board:
                 )
                 if cache is not None and deploy_blob is None:
                     # publish the chip contents for the next worker; the
-                    # blob is exactly what deploy() stored, fallback
-                    # decisions included
+                    # blob is exactly what deploy() stored
                     cache.put_bytes(
                         _deploy_key(spec),
                         self.system.master.external_flash.read_all(),
                     )
-            if cache is not None:
-                self._ensure_base_reloc_index()
             self.autopilot = self.system.autopilot
         else:
             self.system = None
             self.autopilot = Autopilot(self.image, engine=spec.engine)
         self.profiler = None
         self.recorder = None
-
-    def _ensure_base_reloc_index(self) -> None:
-        """Keep the attacker-side randomize fast path armed off-preprocess.
-
-        On the cold path ``defense.preprocess`` attaches the relocation
-        index to the shared base image as a side effect; the cached and
-        warm paths skip preprocess, so the guessing/oracle attackers
-        (which randomize their own copy of the public binary) would fall
-        back to the slow patcher.  Attach it here instead — identical
-        content, built once per process per image.
-        """
-        if (
-            self.image.reloc_index is None
-            and self.spec.toolchain == "mavr"
-            and self.system is not None
-            and self.system.defense.requires_randomizable
-        ):
-            from ..binfmt.relocindex import build_relocation_index
-
-            self.image.reloc_index = build_relocation_index(self.image)
 
     # -- lifecycle --------------------------------------------------------
 

@@ -13,6 +13,11 @@ A request mirrors the ``repro campaign`` flags (all fields optional)::
      "defense": "mavr", "toolchain": "mavr", "engine": "predecoded",
      "jobs": 2, "timeout": null}
 
+Anything else — an unknown key (``swarm`` is a CLI-only flag), a value
+of the wrong JSON type, a bool where a number belongs, an unknown name,
+or ``count``/``jobs`` outside their bounds — is answered with one
+``campaign.error`` line and runs nothing.
+
 The server holds a single :class:`~repro.sim.artifacts.ArtifactCache`
 root for its lifetime, so every request after the first one that shares
 a board configuration takes the warm path — the "heavy traffic" shape
@@ -28,12 +33,66 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import List, Optional
 
-from ..avr.engine import DEFAULT_ENGINE
+from ..avr.engine import DEFAULT_ENGINE, ENGINES
+from ..firmware import manifest_by_name
 from ..telemetry import jsonable
 from .campaign import CampaignRunner, deterministic_phases
 from .scenario import ATTACK_VARIANTS, ScenarioSpec, derive_seed
+
+
+#: upper bounds on the request's fan-out (a server guards its host)
+MAX_COUNT = 10_000
+MAX_JOBS = 64
+
+#: every request key -> (accepted JSON types, may it be null)
+_REQUEST_FIELDS = {
+    "app": (str, False),
+    "toolchain": (str, False),
+    "defense": (str, False),
+    "engine": (str, False),
+    "attack": (str, True),
+    "count": (int, False),
+    "seed": (int, False),
+    "jobs": (int, False),
+    "timeout": ((int, float), True),
+}
+
+
+def _validate_request(request) -> None:
+    """Reject anything ``repro campaign`` itself would not accept.
+
+    Raises ``ValueError`` naming the first offending key.
+    """
+    if not isinstance(request, dict):
+        raise ValueError("a request must be a JSON object")
+    unknown = sorted(set(request) - set(_REQUEST_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown request key(s): {', '.join(unknown)}")
+    for key, value in request.items():
+        types, nullable = _REQUEST_FIELDS[key]
+        if value is None and nullable:
+            continue
+        # bool is an int subclass in Python, but never a count or a seed
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{key} has the wrong type: {value!r}")
+    for key, limit in (("count", MAX_COUNT), ("jobs", MAX_JOBS)):
+        if key in request and not 1 <= request[key] <= limit:
+            raise ValueError(f"{key} must be in 1..{limit}, got {request[key]}")
+    timeout = request.get("timeout")
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be a positive number, got {timeout!r}")
+    if "app" in request:
+        try:
+            manifest_by_name(request["app"])
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+    if request.get("toolchain", "mavr") not in ("stock", "mavr"):
+        raise ValueError(f"unknown toolchain: {request['toolchain']!r}")
+    if request.get("engine", DEFAULT_ENGINE) not in ENGINES:
+        raise ValueError(f"unknown engine: {request['engine']!r}")
 
 
 def specs_from_request(request: dict) -> List[ScenarioSpec]:
@@ -43,13 +102,12 @@ def specs_from_request(request: dict) -> List[ScenarioSpec]:
     records are byte-identical to ``repro campaign --jsonl`` with the
     same parameters.
     """
+    _validate_request(request)
     attack = request.get("attack", "guess")
     if attack is not None and attack not in ATTACK_VARIANTS:
         raise ValueError(f"unknown attack variant: {attack!r}")
-    seed = int(request.get("seed", 0))
-    count = int(request.get("count", 1))
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    seed = request.get("seed", 0)
+    count = request.get("count", 1)
     return [
         ScenarioSpec(
             app=request.get("app", "testapp"),
@@ -126,7 +184,7 @@ class CampaignServer:
                 )
 
             runner = CampaignRunner(
-                jobs=int(request.get("jobs", self.default_jobs)),
+                jobs=request.get("jobs", self.default_jobs),
                 timeout_s=request.get("timeout"),
                 cache_dir=self.cache_dir,
                 result_sink=result_sink,

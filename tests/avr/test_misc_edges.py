@@ -1,5 +1,4 @@
-"""Edge coverage: error formatting, trace limits, disassembler corners,
-mini-ELF queries."""
+"""Edge coverage: error formatting, trace limits, disassembler corners."""
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.avr import (
     iter_instructions,
 )
 from repro.asm import format_instruction
-from repro.binfmt import MiniElf, Section
 from repro.errors import (
     AsmSyntaxError,
     CpuFault,
@@ -83,17 +81,6 @@ def test_format_instruction_generic_fallbacks():
 def test_encode_stream_multiple():
     blob = encode_stream([I(M.NOP), I(M.JMP, k=4), I(M.RET)])
     assert len(blob) == 2 + 4 + 2
-
-
-def test_minielf_queries():
-    obj = MiniElf()
-    obj.add_section(Section(".text", 0, b"\x01\x02"))
-    assert obj.has_section(".text")
-    assert not obj.has_section(".bss")
-    from repro.errors import BinfmtError
-    with pytest.raises(BinfmtError):
-        obj.section(".bss")
-    assert MiniElf().flat_image() == b""
 
 
 def test_encode_error_on_missing_required_operand():

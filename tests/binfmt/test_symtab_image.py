@@ -1,4 +1,4 @@
-"""Symbol tables, firmware image metadata, and mini-ELF containers."""
+"""Symbol tables, firmware image metadata, and image containers."""
 
 import pytest
 from hypothesis import given
@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.binfmt import (
     FirmwareImage,
-    MiniElf,
-    Section,
     Symbol,
     SymbolKind,
     SymbolTable,
@@ -181,41 +179,26 @@ def test_preprocessed_hex_roundtrip():
     assert [s.name for s in restored.symbols] == [s.name for s in image.symbols]
 
 
+def test_containers_reject_trailing_bytes():
+    """Nothing may follow the symbol table (HEX) or the code (flash blob)."""
+    from repro.binfmt.ihex import decode_with_symbols, encode_with_symbols
+
+    image = tiny_image()
+    blob = image.to_flash_blob()
+    assert FirmwareImage.from_flash_blob(blob).code == image.code
+    with pytest.raises(BinfmtError, match="trailing"):
+        FirmwareImage.from_flash_blob(blob + b"\x00")
+    code, metadata = decode_with_symbols(image.to_preprocessed_hex())
+    with pytest.raises(BinfmtError, match="trailing"):
+        FirmwareImage.from_preprocessed_hex(
+            encode_with_symbols(code, metadata + b"\x00\x00\x00\x00")
+        )
+    with pytest.raises(BinfmtError, match="trailing"):
+        SymbolTable.from_bytes(make_table().to_bytes() + b"\x00")
+
+
 def test_with_code_replaces_tag():
     image = tiny_image()
     clone = image.with_code(bytes(64), toolchain_tag="custom")
     assert clone.toolchain_tag == "custom"
     assert image.toolchain_tag == "stock"
-
-
-# -- MiniElf --------------------------------------------------------------
-
-def test_minielf_roundtrip():
-    obj = MiniElf()
-    obj.add_section(Section(".text", 0, b"\x01\x02"))
-    obj.add_section(Section(".data", 16, b"\x03"))
-    obj.symbols.add(Symbol("main", 0, 2))
-    clone = MiniElf.from_bytes(obj.to_bytes())
-    assert clone.section(".text").data == b"\x01\x02"
-    assert clone.section(".data").address == 16
-    assert clone.symbols.get("main").size == 2
-
-
-def test_minielf_overlap_rejected():
-    obj = MiniElf()
-    obj.add_section(Section(".text", 0, bytes(16)))
-    with pytest.raises(BinfmtError):
-        obj.add_section(Section(".data", 8, bytes(4)))
-
-
-def test_minielf_flat_image():
-    obj = MiniElf()
-    obj.add_section(Section(".text", 0, b"\xaa"))
-    obj.add_section(Section(".data", 4, b"\xbb"))
-    flat = obj.flat_image()
-    assert flat == b"\xaa\xff\xff\xff\xbb"
-
-
-def test_minielf_bad_magic():
-    with pytest.raises(BinfmtError):
-        MiniElf.from_bytes(b"XXXX\x01\x00\x00\x00")

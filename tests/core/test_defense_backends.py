@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.avr.memory import FLASH_SIZE
+from repro.binfmt import relocation_index
 from repro.core.defenses import (
     DEFENSE_BACKENDS,
     CtompBackend,
@@ -169,8 +170,8 @@ def test_daedalus_splits_below_function_granularity(testapp):
     assert report.blocks > report.functions
     split = split_image_blocks(testapp)
     assert split.function_count() == report.blocks
-    # the relocation index survives the re-tiling (same code bytes)
-    assert split.reloc_index is testapp.reloc_index
+    # the re-tiling shares the memoized relocation index (same code bytes)
+    assert relocation_index(split) is relocation_index(testapp)
 
 
 def test_daedalus_scatters_only_with_flash_headroom(testapp):

@@ -2,9 +2,10 @@
 
 Differential guarantees pinned here:
 
-* the indexed patcher's output is byte-identical to the legacy streaming
+* the one patcher's output is byte-identical to the streaming reference
   patcher for the same permutation, across seeds and all three paper
-  applications;
+  applications — at function granularity, on the DAEDALUS sub-block
+  split tilings, and on the padded scatter path;
 * a differential reflash moves strictly fewer bytes over the ISP wire
   than the full transfer while leaving the flash byte-identical to a
   full reprogram;
@@ -18,10 +19,11 @@ import random
 import pytest
 
 from repro.asm.linker import MAVR_OPTIONS
-from repro.binfmt import build_relocation_index
 from repro.core import MavrSystem
-from repro.core.patching import patch_image, patch_image_indexed
+from repro.core.padding import generate_padded_permutation
+from repro.core.patching import patch_image, patch_into, reference_patch_image
 from repro.core.randomize import generate_permutation
+from repro.core.splitting import split_image_blocks
 from repro.firmware import ALL_APPS, build_app
 
 SEEDS = (11, 22, 33)
@@ -35,12 +37,37 @@ def paper_app(request):
 
 def test_fastpath_matches_legacy_across_seeds(paper_app):
     """Acceptance: >= 3 seeds x 3 app manifests, byte-identical output."""
-    index = build_relocation_index(paper_app)
     for seed in SEEDS:
         permutation = generate_permutation(paper_app, random.Random(seed))
-        fast = patch_image_indexed(paper_app, permutation, index)
-        legacy = patch_image(paper_app, permutation)
+        fast = patch_image(paper_app, permutation)
+        legacy = reference_patch_image(paper_app, permutation)
         assert fast == legacy, (paper_app.name, seed)
+
+
+def test_split_tiling_matches_reference_across_seeds(paper_app):
+    """DAEDALUS sub-block shuffles replay the function tiling's index."""
+    split = split_image_blocks(paper_app)
+    assert split.function_count() > paper_app.function_count()
+    for seed in SEEDS:
+        permutation = generate_permutation(split, random.Random(seed))
+        fast = patch_image(split, permutation)
+        legacy = reference_patch_image(split, permutation)
+        assert fast == legacy, (paper_app.name, seed)
+
+
+def test_padded_scatter_matches_reference_on_grown_base(testapp):
+    """The padded path applies the original's index into the grown buffer;
+    the reference sweeps the grown base image itself."""
+    split = split_image_blocks(testapp)
+    for seed in SEEDS:
+        permutation = generate_padded_permutation(split, random.Random(seed))
+        new_end = max(m.new_address + m.size for m in permutation.moves)
+        keep = max(split.data_end, split.text_end)
+        grown = split.code[:keep] + b"\xff" * (new_end - keep)
+        fast = bytearray(grown)
+        patch_into(split, permutation, fast)
+        legacy = reference_patch_image(split.with_code(grown), permutation)
+        assert bytes(fast) == legacy, seed
 
 
 def test_differential_reflash_saves_wire_bytes(testapp):

@@ -111,8 +111,40 @@ def test_corrupt_checkpoint_lines_are_skipped(tmp_path):
         jobs=1, resume=True, checkpoint_dir=ckpt, shards=1
     ).run(specs)
     assert resumed.runner["resumed"] == 1  # only the intact line replays
+    assert resumed.runner["checkpoint_skipped"] == 3
     baseline = CampaignRunner(jobs=1).run(specs)
     assert resumed.records() == baseline.records()
+
+
+def test_torn_checkpoint_line_is_counted_and_its_spec_reruns(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    specs = specs_for(3)
+    CampaignRunner(
+        jobs=1, checkpoint_dir=ckpt, shards=1,
+        jsonl_path=tmp_path / "baseline.jsonl",
+    ).run(specs)
+    shard = ckpt / "shard-0.jsonl"
+    lines = shard.read_bytes().splitlines()
+    entry = json.loads(lines[2])
+    entry["record"] = ["wrong", "shape"]
+    # a torn append, lines of the wrong shape, and bytes that are not UTF-8
+    shard.write_bytes(b"\n".join([
+        lines[0],
+        lines[1][: len(lines[1]) // 2],
+        b"[]",
+        b'{"index": "0"}',
+        json.dumps(entry).encode("ascii"),
+        b"\xff\xfe{",
+    ]) + b"\n")
+    resumed = CampaignRunner(
+        jobs=1, resume=True, checkpoint_dir=ckpt, shards=1,
+        jsonl_path=tmp_path / "resumed.jsonl",
+    ).run(specs)
+    assert resumed.runner["resumed"] == 1
+    assert resumed.runner["checkpoint_skipped"] == 5
+    assert (tmp_path / "resumed.jsonl").read_bytes() == (
+        tmp_path / "baseline.jsonl"
+    ).read_bytes()
 
 
 def test_resume_requires_checkpoint_dir():

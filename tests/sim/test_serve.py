@@ -60,16 +60,69 @@ def test_served_campaign_streams_file_sink_bytes(tmp_path):
     assert "campaign.phases" in lines[-1]
 
 
-def test_served_error_is_one_json_line(tmp_path):
+def _served_lines(payload: dict):
     async def scenario():
         server = CampaignServer(port=0)
         await server.start()
         try:
-            return await _request(server.port, {"attack": "nonesuch"})
+            return await _request(server.port, payload)
         finally:
             server._server.close()
             await server._server.wait_closed()
 
-    lines = asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+def test_served_error_is_one_json_line():
+    lines = _served_lines({"attack": "nonesuch"})
     assert len(lines) == 1
     assert "campaign.error" in json.loads(lines[0])
+
+
+def test_unknown_request_key_is_rejected_not_dropped():
+    """``swarm`` is a CLI-only flag: silently flying a single board would
+    break the byte-identical-to-CLI promise."""
+    with pytest.raises(ValueError, match="swarm"):
+        specs_from_request({"attack": "flood", "swarm": 3})
+    lines = _served_lines({"attack": "flood", "swarm": 3})
+    assert len(lines) == 1
+    assert "swarm" in json.loads(lines[0])["campaign.error"]
+
+
+def test_mistyped_request_value_is_rejected_before_running():
+    """A bad value must not run: every scenario would come back as an
+    ``error`` record inside a success-shaped stream."""
+    for bad in (
+        {"timeout": "soon"},
+        {"timeout": 0},
+        {"count": "3"},
+        {"count": True},
+        {"jobs": False},
+        {"seed": 1.5},
+        {"app": 7},
+        {"app": "nonesuch"},
+        {"engine": "nonesuch"},
+        {"toolchain": "nonesuch"},
+    ):
+        with pytest.raises(ValueError):
+            specs_from_request(bad)
+    lines = _served_lines({"attack": "guess", "timeout": "soon"})
+    assert len(lines) == 1
+    assert "timeout" in json.loads(lines[0])["campaign.error"]
+
+
+def test_count_and_jobs_are_bounded():
+    from repro.sim.serve import MAX_COUNT, MAX_JOBS
+
+    assert len(specs_from_request({"count": 2, "jobs": MAX_JOBS})) == 2
+    for bad in (
+        {"count": 0},
+        {"count": MAX_COUNT + 1},
+        {"jobs": 0},
+        {"jobs": MAX_JOBS + 1},
+    ):
+        with pytest.raises(ValueError, match="must be in"):
+            specs_from_request(bad)
+    lines = _served_lines({"count": MAX_COUNT + 1})
+    assert len(lines) == 1
+    assert "count" in json.loads(lines[0])["campaign.error"]
